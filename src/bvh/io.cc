@@ -2,55 +2,13 @@
 
 #include <cstdint>
 
+#include "util/binary_io.hh"
+
 namespace trt
 {
 
 namespace
 {
-
-template <typename T>
-void
-writeVec(std::ostream &os, const std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = v.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    if (n)
-        os.write(reinterpret_cast<const char *>(v.data()),
-                 std::streamsize(n * sizeof(T)));
-}
-
-template <typename T>
-bool
-readVec(std::istream &is, std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = 0;
-    is.read(reinterpret_cast<char *>(&n), sizeof(n));
-    if (!is || n > (1ull << 32))
-        return false;
-    v.resize(n);
-    if (n)
-        is.read(reinterpret_cast<char *>(v.data()),
-                std::streamsize(n * sizeof(T)));
-    return bool(is);
-}
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-readPod(std::istream &is, T &v)
-{
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    return bool(is);
-}
 
 /** Stream magic/version: load() rejects anything else up front, so a
  *  truncated or stale cache file can never deserialize into garbage

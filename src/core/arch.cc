@@ -8,19 +8,57 @@
 namespace trt
 {
 
+namespace
+{
+
+/**
+ * Run a snapshot-armed Gpu through @p run, first restoring the newest
+ * valid snapshot when @p resume is set. A snapshot that fails to load
+ * leaves the Gpu inconsistent, so the fallback cold run rebuilds it.
+ */
+template <typename Run>
+RunStats
+runResumable(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
+             const SnapshotPolicy &policy, bool resume, Run run)
+{
+    Gpu gpu(cfg, scene, bvh, makeRtUnitFactory());
+    gpu.setSnapshotPolicy(policy);
+    if (!resume)
+        return run(gpu);
+    auto path = findNewestValidSnapshot(policy.dir, policy.worldFp);
+    if (!path)
+        return run(gpu);
+    try {
+        std::vector<uint8_t> payload =
+            readSnapshotPayload(*path, policy.worldFp);
+        Deserializer d(payload);
+        gpu.loadState(d);
+    } catch (const SnapshotError &e) {
+        fprintf(stderr, "[snapshot] %s: %s; falling back to a cold run\n",
+                path->string().c_str(), e.what());
+        Gpu cold(cfg, scene, bvh, makeRtUnitFactory());
+        cold.setSnapshotPolicy(policy);
+        return run(cold);
+    }
+    fprintf(stderr, "[snapshot] resuming from %s (cycle %llu)\n",
+            path->string().c_str(), (unsigned long long)gpu.restoredCycle());
+    return run(gpu);
+}
+
+} // anonymous namespace
+
 Gpu::RtUnitFactory
 makeRtUnitFactory()
 {
     return [](const GpuConfig &cfg, MemorySystem &mem, const Bvh &bvh,
               uint32_t sm_id) -> std::unique_ptr<RtUnitBase> {
-        switch (cfg.arch) {
-          case RtArch::TreeletPrefetch:
+        switch (cfg.policy) {
+          case DispatchPolicyKind::Prefetch:
             return std::make_unique<TreeletPrefetchRtUnit>(cfg, mem, bvh,
                                                            sm_id);
-          case RtArch::TreeletQueues:
+          case DispatchPolicyKind::Vtq:
             return std::make_unique<TreeletQueueRtUnit>(cfg, mem, bvh,
                                                         sm_id);
-          case RtArch::Baseline:
           default:
             return std::make_unique<BaselineRtUnit>(cfg, mem, bvh, sm_id);
         }
@@ -49,32 +87,8 @@ simulateWithSnapshots(const GpuConfig &cfg, const Scene &scene,
                       const Bvh &bvh, const SnapshotPolicy &policy,
                       bool resume)
 {
-    Gpu gpu(cfg, scene, bvh, makeRtUnitFactory());
-    gpu.setSnapshotPolicy(policy);
-    if (resume) {
-        auto path = findNewestValidSnapshot(policy.dir, policy.worldFp);
-        if (path) {
-            try {
-                std::vector<uint8_t> payload =
-                    readSnapshotPayload(*path, policy.worldFp);
-                Deserializer d(payload);
-                gpu.loadState(d);
-                fprintf(stderr, "[snapshot] resuming from %s (cycle %llu)\n",
-                        path->string().c_str(),
-                        (unsigned long long)gpu.restoredCycle());
-            } catch (const SnapshotError &e) {
-                fprintf(stderr,
-                        "[snapshot] %s: %s; falling back to a cold run\n",
-                        path->string().c_str(), e.what());
-                // A partial loadState leaves the Gpu inconsistent:
-                // rebuild it from scratch for the cold run.
-                Gpu cold(cfg, scene, bvh, makeRtUnitFactory());
-                cold.setSnapshotPolicy(policy);
-                return cold.run();
-            }
-        }
-    }
-    return gpu.run();
+    return runResumable(cfg, scene, bvh, policy, resume,
+                        [](Gpu &gpu) { return gpu.run(); });
 }
 
 RunStats
@@ -82,32 +96,8 @@ simulateSampled(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
                 const SampleConfig &sample, const SnapshotPolicy &policy,
                 bool resume)
 {
-    Gpu gpu(cfg, scene, bvh, makeRtUnitFactory());
-    gpu.setSnapshotPolicy(policy);
-    if (resume) {
-        auto path = findNewestValidSnapshot(policy.dir, policy.worldFp);
-        if (path) {
-            try {
-                std::vector<uint8_t> payload =
-                    readSnapshotPayload(*path, policy.worldFp);
-                Deserializer d(payload);
-                gpu.loadState(d);
-                fprintf(stderr,
-                        "[snapshot] resuming sampled run from %s "
-                        "(cycle %llu)\n",
-                        path->string().c_str(),
-                        (unsigned long long)gpu.restoredCycle());
-            } catch (const SnapshotError &e) {
-                fprintf(stderr,
-                        "[snapshot] %s: %s; falling back to a cold run\n",
-                        path->string().c_str(), e.what());
-                Gpu cold(cfg, scene, bvh, makeRtUnitFactory());
-                cold.setSnapshotPolicy(policy);
-                return cold.runSampled(sample);
-            }
-        }
-    }
-    return gpu.runSampled(sample);
+    return runResumable(cfg, scene, bvh, policy, resume,
+                        [&](Gpu &gpu) { return gpu.runSampled(sample); });
 }
 
 } // namespace trt

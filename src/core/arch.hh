@@ -1,6 +1,6 @@
 /**
  * @file
- * Architecture selection: builds the right RT unit for a GpuConfig and
+ * RT-unit selection: builds the right RT unit for a GpuConfig and
  * provides the one-call simulation entry point used by examples, tests
  * and the benchmark harness.
  */
@@ -13,7 +13,9 @@
 namespace trt
 {
 
-/** Factory dispatching on GpuConfig::arch. */
+/** Factory choosing the RT unit from GpuConfig::policy: vtq builds
+ *  the treelet-queue unit, prefetch the treelet-prefetching unit, and
+ *  every other policy the baseline unit. */
 Gpu::RtUnitFactory makeRtUnitFactory();
 
 /**

@@ -22,12 +22,11 @@ constexpr uint64_t kRayDataBase = 0x200000000ull;
 TreeletQueueRtUnit::TreeletQueueRtUnit(const GpuConfig &cfg,
                                        MemorySystem &mem, const Bvh &bvh,
                                        uint32_t sm_id)
-    : RtUnitBase(cfg, mem, bvh, sm_id)
+    : RtUnitBase(cfg, mem, bvh, sm_id), policy_(cfg)
 {
     slots_.resize(cfg.warpBufferSize);
     for (auto &s : slots_)
         s.entries.resize(cfg.warpSize);
-    policy_ = makeDispatchPolicy(cfg, bvh, stats_);
 }
 
 TraversalMode
@@ -474,7 +473,7 @@ TreeletQueueRtUnit::handlePolicy(uint64_t now, Slot &slot)
             }
             if (!e.trav.atBoundary())
                 continue; // issue-port limited; retried next cycle
-            if (policy_->endInitialPhase(slotDivergence(slot))) {
+            if (policy_.endInitialPhase(slotDivergence(slot))) {
                 slot.draining = true;
                 parkEntry(now, slot, e);
             } else {
@@ -551,11 +550,11 @@ TreeletQueueRtUnit::dispatch(uint64_t now)
         for (const auto &[t, q] : queues_)
             if (!q.empty())
                 queueScratch_.push_back({t, uint32_t(q.size())});
-        DispatchPolicy::DispatchChoice choice =
-            policy_->chooseDispatch(queueScratch_, loadedTreelet_);
-        if (choice.kind == DispatchPolicy::WarpKind::Treelet)
+        VtqPolicy::DispatchChoice choice =
+            policy_.chooseDispatch(queueScratch_, loadedTreelet_);
+        if (choice.kind == VtqPolicy::WarpKind::Treelet)
             dispatchTreelet(now, slot, choice.treelet);
-        else if (choice.kind == DispatchPolicy::WarpKind::Grouped)
+        else if (choice.kind == VtqPolicy::WarpKind::Grouped)
             dispatchGrouped(now, slot);
     }
 }

@@ -32,10 +32,9 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <unordered_map>
 
-#include "gpu/dispatch_policy.hh"
+#include "core/vtq_policy.hh"
 #include "gpu/rt_unit.hh"
 
 namespace trt
@@ -149,12 +148,12 @@ class TreeletQueueRtUnit : public RtUnitBase
     // Pooled scratch (allocation-free steady state).
     mutable std::vector<uint32_t> divScratch_;
     std::vector<Parked> strayScratch_;
-    std::vector<DispatchPolicy::QueueView> queueScratch_;
+    std::vector<VtqPolicy::QueueView> queueScratch_;
 
     /** Scheduling decisions (initial-phase termination, queue
-     *  selection) extracted behind the DispatchPolicy interface
-     *  (DESIGN.md §9); the timing of acting on them stays here. */
-    std::unique_ptr<DispatchPolicy> policy_;
+     *  selection, DESIGN.md §9); the timing of acting on them stays
+     *  here. */
+    VtqPolicy policy_;
 
     /**
      * Retired traversers, kept for their grown stack capacity. Every

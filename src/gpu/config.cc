@@ -9,6 +9,7 @@
 #include "gpu/config.hh"
 
 #include "geom/hash.hh"
+#include "util/env.hh"
 
 namespace trt
 {
@@ -25,34 +26,56 @@ dispatchPolicyName(DispatchPolicyKind k)
         return "reorder";
       case DispatchPolicyKind::Predict:
         return "predict";
+      case DispatchPolicyKind::Prefetch:
+        return "prefetch";
       default:
         return "unknown";
     }
 }
 
-bool
-parseDispatchPolicy(const std::string &name, DispatchPolicyKind &out)
+DispatchPolicyKind
+parseDispatchPolicy(const std::string &name, const std::string &what)
 {
     if (name == "baseline" || name == "fifo")
-        out = DispatchPolicyKind::Fifo;
-    else if (name == "vtq")
-        out = DispatchPolicyKind::Vtq;
-    else if (name == "reorder")
-        out = DispatchPolicyKind::Reorder;
-    else if (name == "predict")
-        out = DispatchPolicyKind::Predict;
-    else
-        return false;
-    return true;
+        return DispatchPolicyKind::Fifo;
+    if (name == "prefetch")
+        return DispatchPolicyKind::Prefetch;
+    if (name == "vtq")
+        return DispatchPolicyKind::Vtq;
+    if (name == "reorder")
+        return DispatchPolicyKind::Reorder;
+    if (name == "predict")
+        return DispatchPolicyKind::Predict;
+    throw EnvError(what + ": unknown policy '" + name +
+                   "' (baseline|fifo|prefetch|vtq|reorder|predict)");
+}
+
+void
+GpuConfig::setPolicy(DispatchPolicyKind kind)
+{
+    policy = kind;
+    bool vtq = kind == DispatchPolicyKind::Vtq;
+    rayVirtualization = vtq;
+    mem.l2ReservedBytes = vtq ? 64 * 1024 : 0;
+}
+
+void
+GpuConfig::overlayPolicyKnobs(uint32_t reorder_bits, uint32_t predict_bits,
+                              bool predict_shared)
+{
+    if (reorder_bits > 0)
+        reorderBinBits = reorder_bits;
+    if (predict_bits > 0)
+        predictTableBits = predict_bits;
+    if (predict_shared)
+        predictShared = true;
 }
 
 GpuConfig
 GpuConfig::forPolicy(DispatchPolicyKind kind)
 {
-    if (kind == DispatchPolicyKind::Vtq)
-        return virtualizedTreeletQueues();
     GpuConfig c;
-    c.policy = kind;
+    c.setPolicy(kind);
     return c;
 }
 
@@ -60,8 +83,8 @@ uint64_t
 GpuConfig::fingerprint() const
 {
     Fnv1a h;
-    h.pod(uint32_t(0x6C0F0003)); // schema tag (v3: + decode latency,
-                                 // wide box cost, shared predictor)
+    h.pod(uint32_t(0x6C0F0004)); // schema tag (v4: the RT unit follows
+                                 // policy; no separate arch field)
 
     h.pod(numSms);
     h.pod(maxWarpsPerSm);
@@ -101,7 +124,6 @@ GpuConfig::fingerprint() const
     h.pod(maxBounces);
     h.pod(contributionCutoff);
 
-    h.pod(arch);
     h.pod(uint8_t(rayVirtualization));
     h.pod(uint8_t(virtualizationFree));
     h.pod(maxVirtualRaysPerSm);

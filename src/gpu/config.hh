@@ -17,37 +17,30 @@
 namespace trt
 {
 
-/** Which RT-unit architecture to simulate. */
-enum class RtArch : uint8_t
-{
-    Baseline,        //!< Ray-stationary RT unit (treelet traversal order).
-    TreeletPrefetch, //!< Chou et al. MICRO'23 treelet prefetcher.
-    TreeletQueues,   //!< This paper: dynamic treelet queues.
-};
-
-const char *rtArchName(RtArch a);
-
 /**
- * Dispatch policy: which ray runs next, in which warp, starting at
- * which node (DESIGN.md §9). The policy object owns the RT unit's
- * pending-ray pool and the scheduling decisions; the unit keeps the
- * pipeline/timing machinery. Every policy produces bit-identical
- * rendered frames — policies only move *when* rays run and *where*
- * traversal starts, never what a ray finally hits.
+ * Named configuration: the one selector of both the RT unit and its
+ * dispatch policy (DESIGN.md §9). Vtq runs the treelet-queue unit,
+ * Prefetch the Chou et al. prefetching unit, and the rest the baseline
+ * ray-stationary unit with the named pending-ray policy. Every policy
+ * produces bit-identical rendered frames — policies only move *when*
+ * rays run and *where* traversal starts, never what a ray finally hits.
  */
 enum class DispatchPolicyKind : uint8_t
 {
-    Fifo,    //!< Arrival order, warps kept intact (the seed baseline).
-    Vtq,     //!< The paper's virtualized-treelet-queue heuristics.
-    Reorder, //!< Morton/octant-binned ray reordering (Meister et al.).
-    Predict, //!< Hash-based path prediction (Demoullin/Gubran/Aamodt).
+    Fifo,     //!< Arrival order, warps kept intact (the paper's baseline).
+    Vtq,      //!< The paper's virtualized treelet queues.
+    Reorder,  //!< Morton/octant-binned ray reordering (Meister et al.).
+    Predict,  //!< Hash-based path prediction (Demoullin/Gubran/Aamodt).
+    Prefetch, //!< Chou et al. MICRO'23 treelet prefetcher, FIFO pool.
 };
 
 const char *dispatchPolicyName(DispatchPolicyKind k);
 
-/** Parse a TRT_POLICY value ("baseline"/"fifo", "vtq", "reorder",
- *  "predict"); false on unknown names. */
-bool parseDispatchPolicy(const std::string &name, DispatchPolicyKind &out);
+/** Parse a named configuration ("baseline"/"fifo", "prefetch", "vtq",
+ *  "reorder", "predict"); throws EnvError naming @p what (the knob or
+ *  field the name came from) on anything else. */
+DispatchPolicyKind parseDispatchPolicy(const std::string &name,
+                                       const std::string &what);
 
 /** Full simulation configuration. */
 struct GpuConfig
@@ -98,8 +91,7 @@ struct GpuConfig
     uint32_t maxBounces = 3;     //!< Secondary bounces at 1 spp.
     float contributionCutoff = 0.02f;
 
-    // ------ Architecture selection and VTQ parameters ------------------
-    RtArch arch = RtArch::Baseline;
+    // ------ VTQ parameters -------------------------------------------
     /** Ray virtualization (section 3.1/4.1). */
     bool rayVirtualization = false;
     /** Fig. 16: make CTA save/restore free to isolate its overhead. */
@@ -127,10 +119,8 @@ struct GpuConfig
     bool skipTreeletPhase = false;
 
     // ------ Dispatch policy (DESIGN.md §9) ----------------------------
-    /** Strategy object the RT units consult for warp formation and
-     *  scheduling decisions. Fifo reproduces the seed baseline timing
-     *  exactly; Vtq holds the paper's treelet-queue heuristics and is
-     *  what virtualizedTreeletQueues() selects. */
+    /** Selects the RT unit and its scheduling (set it through
+     *  setPolicy(), which also sets the fields the policy implies). */
     DispatchPolicyKind policy = DispatchPolicyKind::Fifo;
     /** Reorder policy: bits per axis of the Morton origin grid over the
      *  scene bounds (bin key = 3*bits morton + 3 direction-octant
@@ -167,34 +157,36 @@ struct GpuConfig
      *  would skip the simulation and produce no trace). */
     TelemetryConfig telem;
 
+    /**
+     * Select @p kind and the fields it implies: Vtq turns on ray
+     * virtualization and reserves 64 KB of L2 for parked ray data;
+     * every other policy turns both off. The single place a named
+     * configuration is built (forPolicy, TRT_POLICY, JobSpec).
+     */
+    void setPolicy(DispatchPolicyKind kind);
+
+    /** Overlay the policy knobs (TRT_REORDER_BITS, TRT_PREDICT_BITS,
+     *  TRT_PREDICT_SHARED); 0 / false keeps the current value. */
+    void overlayPolicyKnobs(uint32_t reorder_bits, uint32_t predict_bits,
+                            bool predict_shared);
+
+    /** Canonical configuration for a named policy: the defaults plus
+     *  setPolicy(@p kind). */
+    static GpuConfig forPolicy(DispatchPolicyKind kind);
+
     /** Convenience: the full proposed configuration. */
     static GpuConfig
     virtualizedTreeletQueues()
     {
-        GpuConfig c;
-        c.arch = RtArch::TreeletQueues;
-        c.policy = DispatchPolicyKind::Vtq;
-        c.rayVirtualization = true;
-        c.mem.l2ReservedBytes = 64 * 1024;
-        return c;
+        return forPolicy(DispatchPolicyKind::Vtq);
     }
 
     /** Convenience: the treelet prefetching comparison point. */
     static GpuConfig
     treeletPrefetch()
     {
-        GpuConfig c;
-        c.arch = RtArch::TreeletPrefetch;
-        return c;
+        return forPolicy(DispatchPolicyKind::Prefetch);
     }
-
-    /**
-     * Canonical configuration for a dispatch policy: Vtq implies the
-     * full proposed architecture (treelet queues + ray virtualization);
-     * Fifo/Reorder/Predict run on the baseline ray-stationary unit.
-     * This is what TRT_POLICY and bench_policy select.
-     */
-    static GpuConfig forPolicy(DispatchPolicyKind kind);
 
     /**
      * Hash of every simulation-affecting field (including the embedded

@@ -4,12 +4,10 @@
  * *which ray runs next, in which warp, starting at which node*, kept
  * separate from the RT units' pipeline/timing machinery.
  *
- * A policy owns the unit's pending-ray pool (enqueue / formWarp), gets
- * per-ray hooks (speculate / onRayComplete), and — for the treelet-
- * queue architecture — the warp-scheduling decisions extracted from
- * TreeletQueueRtUnit (endInitialPhase / chooseDispatch). All policy
- * state is per-RT-unit and mutated only inside that SM's tick or the
- * serial phases, so every policy is bit-identical across
+ * A policy owns the baseline unit's pending-ray pool (enqueue /
+ * formWarp) and gets per-ray hooks (speculate / onRayComplete). All
+ * policy state is per-RT-unit and mutated only inside that SM's tick or
+ * the serial phases, so every policy is bit-identical across
  * TRT_SIM_THREADS and TRT_SIMD. Policies only move *when* rays run and
  * *where* traversal starts; the rendered frame is identical across all
  * of them (the Predict policy's speculative entry is frame-exact by
@@ -17,9 +15,8 @@
  *
  * Policies:
  *  - Fifo:    arrival order, warps kept intact. Reproduces the seed
- *             baseline cycle-for-cycle.
- *  - Vtq:     the paper's virtualized-treelet-queue heuristics
- *             (sections 4.3-4.4), used by the TreeletQueues arch.
+ *             baseline cycle-for-cycle. The Prefetch policy's unit
+ *             (core/prefetch_unit.hh) uses this pool too.
  *  - Reorder: Morton/octant-binned ray reordering before warp
  *             formation (Meister et al.'s reordering line): pending
  *             rays are binned by a quantized origin Morton code plus
@@ -31,6 +28,9 @@
  *             the last such ray; predicted rays enter traversal at
  *             that block, with misprediction detection and root
  *             fallback built into the traverser.
+ *
+ * Vtq does not go through this interface: its unit keeps its own
+ * treelet queues and asks core/vtq_policy.hh's VtqPolicy directly.
  */
 
 #ifndef TRT_GPU_DISPATCH_POLICY_HH
@@ -107,36 +107,13 @@ class DispatchPolicy
         bool valid = false;
     };
 
-    /** One treelet queue as the scheduling decision sees it. */
-    struct QueueView
-    {
-        uint32_t treelet;
-        uint32_t size;
-    };
-
-    /** What chooseDispatch() wants a free warp slot to run. */
-    enum class WarpKind : uint8_t
-    {
-        None,    //!< Leave the slot free this cycle.
-        Treelet, //!< Treelet-stationary warp from the chosen queue.
-        Grouped, //!< Ray-stationary warp of gathered queue strays.
-    };
-
-    struct DispatchChoice
-    {
-        WarpKind kind = WarpKind::None;
-        uint32_t treelet = kInvalidTreelet;
-    };
-
     DispatchPolicy(const GpuConfig &cfg, const Bvh &bvh, RtStats &stats)
         : cfg_(cfg), bvh_(bvh), stats_(stats)
     {
     }
     virtual ~DispatchPolicy() = default;
 
-    virtual DispatchPolicyKind kind() const = 0;
-
-    // ---- pending-ray pool (baseline-arch warp formation) -------------
+    // ---- pending-ray pool (warp formation) ---------------------------
     /** Hand over one warp's rays (a group; policies may keep or break
      *  the grouping). */
     virtual void enqueue(std::vector<PendingRay> &&group) = 0;
@@ -176,27 +153,6 @@ class DispatchPolicy
         (void)sm_id;
     }
 
-    // ---- treelet-queue scheduling decisions (TreeletQueues arch) -----
-    // One canonical implementation — the paper's heuristics, extracted
-    // verbatim from TreeletQueueRtUnit — lives in the base class and is
-    // tagged by VtqPolicy; alternative treelet schedulers override.
-
-    /** Should a fresh warp's initial ray-stationary phase end, given
-     *  the warp's current treelet divergence? (Section 3.2 step 1.) */
-    virtual bool endInitialPhase(uint32_t divergence) const;
-
-    /**
-     * Pick what a free warp slot should run next. @p queues lists the
-     * non-empty treelet queues in table order (ascending treelet id,
-     * the order the hardware table is scanned in); @p loaded_treelet is
-     * the treelet currently resident in the L1 (kInvalidTreelet if
-     * none). Sections 4.3-4.4: drain the loaded treelet first, then the
-     * largest queue if it meets the threshold, else group strays.
-     */
-    virtual DispatchChoice
-    chooseDispatch(const std::vector<QueueView> &queues,
-                   uint32_t loaded_treelet) const;
-
     // ---- snapshot ----------------------------------------------------
     /** Persist pool + table state ("DPOL"/"PRED" chunks). */
     virtual void saveState(Serializer &s) const = 0;
@@ -215,12 +171,6 @@ class FifoPolicy : public DispatchPolicy
   public:
     using DispatchPolicy::DispatchPolicy;
 
-    DispatchPolicyKind
-    kind() const override
-    {
-        return DispatchPolicyKind::Fifo;
-    }
-
     void enqueue(std::vector<PendingRay> &&group) override;
     void formWarp(uint32_t warp_size,
                   std::vector<PendingRay> &out) override;
@@ -236,31 +186,11 @@ class FifoPolicy : public DispatchPolicy
     uint64_t count_ = 0;
 };
 
-/** The paper's treelet-queue heuristics (the base-class decision
- *  defaults); the pool behaves FIFO for the fresh-warp queue. */
-class VtqPolicy : public FifoPolicy
-{
-  public:
-    using FifoPolicy::FifoPolicy;
-
-    DispatchPolicyKind
-    kind() const override
-    {
-        return DispatchPolicyKind::Vtq;
-    }
-};
-
 /** Morton/octant-binned ray reordering (DESIGN.md §9). */
 class ReorderPolicy : public DispatchPolicy
 {
   public:
     ReorderPolicy(const GpuConfig &cfg, const Bvh &bvh, RtStats &stats);
-
-    DispatchPolicyKind
-    kind() const override
-    {
-        return DispatchPolicyKind::Reorder;
-    }
 
     void enqueue(std::vector<PendingRay> &&group) override;
     void formWarp(uint32_t warp_size,
@@ -289,12 +219,6 @@ class PredictPolicy : public FifoPolicy
   public:
     PredictPolicy(const GpuConfig &cfg, const Bvh &bvh, RtStats &stats);
 
-    DispatchPolicyKind
-    kind() const override
-    {
-        return DispatchPolicyKind::Predict;
-    }
-
     Speculation speculate(const Ray &ray) override;
     void onRayComplete(const RayTraverser &trav) override;
     void setShared(SharedPredict *sp, uint32_t sm_id) override;
@@ -321,7 +245,8 @@ class PredictPolicy : public FifoPolicy
     uint32_t smId_ = 0;               //!< Pending-queue index when shared.
 };
 
-/** Construct the policy @p cfg.policy names, bound to @p stats (the
+/** Construct the pending-ray policy @p cfg.policy names (FIFO for
+ *  every policy without a pool of its own), bound to @p stats (the
  *  owning unit's counters). */
 std::unique_ptr<DispatchPolicy>
 makeDispatchPolicy(const GpuConfig &cfg, const Bvh &bvh, RtStats &stats);

@@ -58,10 +58,12 @@ Gpu::Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
         if (factory) {
             unit = factory(cfg_, mem_, bvh_, sm);
         } else {
-            if (cfg_.arch != RtArch::Baseline)
+            if (cfg_.policy == DispatchPolicyKind::Vtq ||
+                cfg_.policy == DispatchPolicyKind::Prefetch)
                 throw std::invalid_argument(
-                    "non-baseline arch requires an RT unit factory "
-                    "(use core/arch.hh makeRtUnitFactory)");
+                    std::string(dispatchPolicyName(cfg_.policy)) +
+                    " needs its own RT unit: pass a factory "
+                    "(core/arch.hh makeRtUnitFactory)");
             unit = std::make_unique<BaselineRtUnit>(cfg_, mem_, bvh_, sm);
         }
         if (sharedPredict_)

@@ -86,7 +86,7 @@ class Gpu
      * @param scene Scene to render (must outlive the Gpu).
      * @param bvh Built BVH (must outlive the Gpu).
      * @param factory RT unit factory; defaults to BaselineRtUnit and
-     *        asserts if cfg.arch needs more.
+     *        throws if cfg.policy needs another unit (vtq, prefetch).
      * @param primary_rays Optional: replace camera-generated primary
      *        rays with this list (one thread per ray; used to run
      *        general tree-traversal workloads through the RT unit,

@@ -12,21 +12,6 @@ namespace trt
 {
 
 const char *
-rtArchName(RtArch a)
-{
-    switch (a) {
-      case RtArch::Baseline:
-        return "baseline";
-      case RtArch::TreeletPrefetch:
-        return "treelet_prefetch";
-      case RtArch::TreeletQueues:
-        return "treelet_queues";
-      default:
-        return "unknown";
-    }
-}
-
-const char *
 traversalModeName(TraversalMode m)
 {
     switch (m) {
@@ -483,7 +468,7 @@ BaselineRtUnit::debugStatus() const
     }
     std::ostringstream os;
     os << "baseline slots=" << active << "/" << slots_.size()
-       << " policy=" << dispatchPolicyName(policy_->kind())
+       << " policy=" << dispatchPolicyName(cfg_.policy)
        << " pendingRays=" << policy_->pendingRays() << " rays{waitData="
        << stages[size_t(Stage::WaitData)]
        << " needIssue=" << stages[size_t(Stage::NeedIssue)]

@@ -15,6 +15,7 @@
 #include "bvh/io.hh"
 #include "harness/job.hh"
 #include "harness/run_cache.hh"
+#include "util/binary_io.hh"
 #include "util/env.hh"
 
 namespace trt
@@ -25,32 +26,6 @@ namespace
 
 /** Bump when scene generators, BVH build or formats change. */
 constexpr uint32_t kBundleCacheVersion = 2; //!< v2: wide-BVH io header.
-
-template <typename T>
-void
-writeVec(std::ostream &os, const std::vector<T> &v)
-{
-    uint64_t n = v.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    if (n)
-        os.write(reinterpret_cast<const char *>(v.data()),
-                 std::streamsize(n * sizeof(T)));
-}
-
-template <typename T>
-bool
-readVec(std::istream &is, std::vector<T> &v)
-{
-    uint64_t n = 0;
-    is.read(reinterpret_cast<char *>(&n), sizeof(n));
-    if (!is || n > (1ull << 32))
-        return false;
-    v.resize(n);
-    if (n)
-        is.read(reinterpret_cast<char *>(v.data()),
-                std::streamsize(n * sizeof(T)));
-    return bool(is);
-}
 
 std::filesystem::path
 cachePath(const std::string &name, float scale, const BvhConfig &bvhCfg)
@@ -81,28 +56,22 @@ loadBundleFile(const std::filesystem::path &path, SceneBundle &b)
     if (!is)
         return false;
     uint32_t magic = 0, ver = 0;
-    is.read(reinterpret_cast<char *>(&magic), 4);
-    is.read(reinterpret_cast<char *>(&ver), 4);
-    if (!is || magic != 0x54525442u || ver != kBundleCacheVersion)
-        return false;
-
     uint64_t name_len = 0;
-    is.read(reinterpret_cast<char *>(&name_len), sizeof(name_len));
-    if (!is || name_len > 256)
+    if (!readPod(is, magic) || !readPod(is, ver) ||
+        magic != 0x54525442u || ver != kBundleCacheVersion ||
+        !readPod(is, name_len) || name_len > 256)
         return false;
     b.scene.name.resize(name_len);
     is.read(b.scene.name.data(), std::streamsize(name_len));
     b.name = b.scene.name;
 
-    is.read(reinterpret_cast<char *>(&b.scene.background),
-            sizeof(b.scene.background));
     Camera::State cam{};
-    is.read(reinterpret_cast<char *>(&cam), sizeof(cam));
-    b.scene.camera = Camera::fromState(cam);
-    if (!readVec(is, b.scene.materials) ||
+    if (!readPod(is, b.scene.background) || !readPod(is, cam) ||
+        !readVec(is, b.scene.materials) ||
         !readVec(is, b.scene.triangles)) {
         return false;
     }
+    b.scene.camera = Camera::fromState(cam);
     if (!BvhIo::load(is, b.bvh))
         return false;
     b.bvhStats = b.bvh.stats();
@@ -117,16 +86,12 @@ saveBundleFile(const std::filesystem::path &path, const SceneBundle &b)
     std::ofstream os(path, std::ios::binary);
     if (!os)
         return;
-    uint32_t magic = 0x54525442u, ver = kBundleCacheVersion;
-    os.write(reinterpret_cast<const char *>(&magic), 4);
-    os.write(reinterpret_cast<const char *>(&ver), 4);
-    uint64_t name_len = b.scene.name.size();
-    os.write(reinterpret_cast<const char *>(&name_len), sizeof(name_len));
-    os.write(b.scene.name.data(), std::streamsize(name_len));
-    os.write(reinterpret_cast<const char *>(&b.scene.background),
-             sizeof(b.scene.background));
-    Camera::State cam = b.scene.camera.state();
-    os.write(reinterpret_cast<const char *>(&cam), sizeof(cam));
+    writePod(os, uint32_t(0x54525442u));
+    writePod(os, kBundleCacheVersion);
+    writePod(os, uint64_t(b.scene.name.size()));
+    os.write(b.scene.name.data(), std::streamsize(b.scene.name.size()));
+    writePod(os, b.scene.background);
+    writePod(os, b.scene.camera.state());
     writeVec(os, b.scene.materials);
     writeVec(os, b.scene.triangles);
     BvhIo::save(os, b.bvh);
@@ -212,26 +177,9 @@ HarnessOptions::apply(GpuConfig cfg) const
 {
     cfg.imageWidth = resolution;
     cfg.imageHeight = resolution;
-    if (!policyName.empty()) {
-        DispatchPolicyKind kind;
-        if (!parseDispatchPolicy(policyName, kind))
-            throw EnvError("TRT_POLICY: unknown policy '" + policyName +
-                           "' (baseline|fifo|vtq|reorder|predict)");
-        cfg.policy = kind;
-        // Vtq names the full proposed architecture, so selecting it by
-        // knob pulls in what virtualizedTreeletQueues() would set.
-        if (kind == DispatchPolicyKind::Vtq) {
-            cfg.arch = RtArch::TreeletQueues;
-            cfg.rayVirtualization = true;
-            cfg.mem.l2ReservedBytes = 64 * 1024;
-        }
-    }
-    if (reorderBinBits > 0)
-        cfg.reorderBinBits = reorderBinBits;
-    if (predictTableBits > 0)
-        cfg.predictTableBits = predictTableBits;
-    if (predictShared)
-        cfg.predictShared = true;
+    if (!policyName.empty())
+        cfg.setPolicy(parseDispatchPolicy(policyName, "TRT_POLICY"));
+    cfg.overlayPolicyKnobs(reorderBinBits, predictTableBits, predictShared);
     return cfg;
 }
 

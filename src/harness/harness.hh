@@ -68,12 +68,15 @@
  *                      the CTA-stratum leg sizing when set.
  *   TRT_SAMPLE_DEBUG   =1: per-interval rate/strata trace and an
  *                      extrapolation summary on stderr.
- *   TRT_POLICY         dispatch policy (DESIGN.md §9): baseline|fifo
- *                      (seed behavior), vtq (implies the treelet-queue
- *                      architecture + ray virtualization), reorder
+ *   TRT_POLICY         named configuration (DESIGN.md §9), the one
+ *                      selector of the RT unit: baseline|fifo (seed
+ *                      behavior), prefetch (treelet prefetcher), vtq
+ *                      (treelet queues + ray virtualization), reorder
  *                      (Morton-binned ray reordering), predict
- *                      (hash-based path prediction). Unset keeps each
- *                      bench config's own policy.
+ *                      (hash-based path prediction). When set, every
+ *                      bench config becomes GpuConfig::forPolicy() of
+ *                      it (at the config's resolution); unset keeps
+ *                      each config's own policy.
  *   TRT_REORDER_BITS   reorder policy: Morton bits per axis of the
  *                      origin binning grid (default 6).
  *   TRT_PREDICT_BITS   predict policy: log2 prediction-table entries
@@ -89,7 +92,8 @@
  *                      frames are bit-identical across widths.
  *   TRT_TELEM          =1: per-SM time-series telemetry (DESIGN.md
  *                      §12) — periodic occupancy / queue-depth / cache
- *                      samples written to <dir>/<scene...>.tsbin.
+ *                      samples written to
+ *                      <dir>/<scene>_<policy>_<fp8>.tsbin.
  *                      Purely observational: RunStats stays
  *                      bit-identical and the knob is excluded from the
  *                      config fingerprint (run-cache *loads* are
@@ -162,7 +166,7 @@ struct HarnessOptions
     /** Resume interrupted simulations from the newest valid snapshot
      *  (--resume / TRT_RESUME; see DESIGN.md §7). */
     bool resume = false;
-    /** Dispatch-policy override (TRT_POLICY); empty = keep each
+    /** Named-configuration override (TRT_POLICY); empty = keep each
      *  config's own policy. */
     std::string policyName;
     uint32_t reorderBinBits = 0;   //!< TRT_REORDER_BITS; 0 = default.
@@ -180,7 +184,8 @@ struct HarnessOptions
      *  with a usage message. */
     static HarnessOptions fromArgs(int argc, char **argv);
 
-    /** Apply resolution to a GpuConfig. */
+    /** Apply resolution, the TRT_POLICY override (through
+     *  GpuConfig::setPolicy) and the policy knobs to a GpuConfig. */
     GpuConfig apply(GpuConfig cfg) const;
 
     /**

@@ -39,30 +39,13 @@ formatFloat(float v)
 GpuConfig
 JobSpec::gpuConfig() const
 {
-    GpuConfig cfg;
-    if (config == "baseline" || config == "fifo")
-        cfg = GpuConfig{};
-    else if (config == "prefetch")
-        cfg = GpuConfig::treeletPrefetch();
-    else if (config == "vtq")
-        cfg = GpuConfig::virtualizedTreeletQueues();
-    else if (config == "reorder")
-        cfg = GpuConfig::forPolicy(DispatchPolicyKind::Reorder);
-    else if (config == "predict")
-        cfg = GpuConfig::forPolicy(DispatchPolicyKind::Predict);
-    else
-        throw EnvError("job config: unknown '" + config +
-                       "' (baseline|fifo|prefetch|vtq|reorder|predict)");
+    GpuConfig cfg =
+        GpuConfig::forPolicy(parseDispatchPolicy(config, "job config"));
     cfg.imageWidth = resolution;
     cfg.imageHeight = resolution;
     if (maxBounces > 0)
         cfg.maxBounces = maxBounces;
-    if (reorderBinBits > 0)
-        cfg.reorderBinBits = reorderBinBits;
-    if (predictTableBits > 0)
-        cfg.predictTableBits = predictTableBits;
-    if (predictShared)
-        cfg.predictShared = true;
+    cfg.overlayPolicyKnobs(reorderBinBits, predictTableBits, predictShared);
     return cfg;
 }
 
@@ -210,14 +193,13 @@ executeJob(const std::string &scene, float scale, const GpuConfig &cfg,
     if (opt.telem.on()) {
         run_cfg.telem = opt.telem;
         if (run_cfg.telem.outBase.empty()) {
-            // Scene + architecture + policy + short fingerprint: keeps
-            // concurrent scenes and configurations from clobbering each
-            // other's traces in one output directory.
+            // Scene + policy + short fingerprint: keeps concurrent
+            // scenes and configurations from clobbering each other's
+            // traces in one output directory.
             char fp_hex[9];
             std::snprintf(fp_hex, sizeof(fp_hex), "%08x",
                           unsigned(fp & 0xffffffffu));
             run_cfg.telem.outBase = scene + "_" +
-                                    rtArchName(run_cfg.arch) + "_" +
                                     dispatchPolicyName(run_cfg.policy) +
                                     "_" + fp_hex;
         }
@@ -241,23 +223,7 @@ executeJob(const std::string &scene, float scale, const GpuConfig &cfg,
     } else {
         st = simulate(run_cfg, b.scene, b.bvh);
     }
-    uint64_t ms = msSince(t0);
-    out.wallMs = ms;
-    harnessTiming().simulateMs += ms;
-    harnessTiming().simulatedCycles += st.cycles;
-    harnessTiming().simulatedRays += st.raysTraced;
-    if (envFlag("TRT_SIM_RATE", false)) {
-        // Machine-parseable per-scene rate line (key=value pairs).
-        double s = double(std::max<uint64_t>(ms, 1)) / 1000.0;
-        std::fprintf(stderr,
-                     "[harness] sim-rate scene=%s arch=%s cycles=%llu "
-                     "rays=%llu ms=%llu cyc_per_s=%.0f mrays_per_s=%.3f\n",
-                     scene.c_str(), rtArchName(cfg.arch),
-                     (unsigned long long)st.cycles,
-                     (unsigned long long)st.raysTraced,
-                     (unsigned long long)ms, double(st.cycles) / s,
-                     double(st.raysTraced) / s / 1e6);
-    }
+    out.wallMs = msSince(t0);
     storeCachedRun(fp, scene, st);
     return out;
 }

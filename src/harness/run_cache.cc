@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
-#include <iomanip>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -34,7 +33,7 @@ void
 printSummaryAtExit()
 {
     const HarnessTiming &t = harnessTiming();
-    if (t.sceneBuildMs == 0 && t.simulateMs == 0 && t.runCacheHits == 0 &&
+    if (t.sceneBuildMs == 0 && t.runCacheHits == 0 &&
         t.runCacheMisses == 0 && t.bundleCacheHits == 0 &&
         t.bundleCacheMisses == 0 && t.runCachePrunedBlobs == 0)
         return;
@@ -190,9 +189,6 @@ resetHarnessTiming()
 {
     HarnessTiming &t = harnessTiming();
     t.sceneBuildMs = 0;
-    t.simulateMs = 0;
-    t.simulatedCycles = 0;
-    t.simulatedRays = 0;
     t.bundleCacheHits = 0;
     t.bundleCacheMisses = 0;
     t.runCacheHits = 0;
@@ -206,16 +202,10 @@ harnessTimingSummary()
 {
     const HarnessTiming &t = harnessTiming();
     std::ostringstream ss;
-    ss << "[harness] scene build " << t.sceneBuildMs << " ms, simulate "
-       << t.simulateMs << " ms | bundle cache " << t.bundleCacheHits
+    ss << "[harness] scene build " << t.sceneBuildMs
+       << " ms | bundle cache " << t.bundleCacheHits
        << " hit " << t.bundleCacheMisses << " miss | run cache "
        << t.runCacheHits << " hit " << t.runCacheMisses << " miss";
-    if (t.simulateMs > 0 && t.simulatedCycles > 0) {
-        double s = double(t.simulateMs) / 1000.0;
-        ss << " | sim rate " << std::fixed << std::setprecision(2)
-           << double(t.simulatedCycles) / s / 1e6 << " Mcycles/s, "
-           << double(t.simulatedRays) / s / 1e6 << " Mrays/s";
-    }
     if (t.runCachePrunedBlobs > 0) {
         ss << ", pruned " << t.runCachePrunedBlobs << " blobs ("
            << (t.runCachePrunedBytes / 1024) << " KB)";

@@ -36,11 +36,6 @@ namespace trt
 struct HarnessTiming
 {
     std::atomic<uint64_t> sceneBuildMs{0}; //!< Scene gen + BVH build.
-    std::atomic<uint64_t> simulateMs{0};   //!< Cycle-level simulation.
-    /** Work actually simulated (cache hits excluded), for the
-     *  aggregate cycles/sec + Mrays/sec rates in the summary. */
-    std::atomic<uint64_t> simulatedCycles{0};
-    std::atomic<uint64_t> simulatedRays{0};
     std::atomic<uint32_t> bundleCacheHits{0};
     std::atomic<uint32_t> bundleCacheMisses{0};
     std::atomic<uint32_t> runCacheHits{0};

@@ -7,6 +7,7 @@
  * and the memory layout.
  */
 
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -17,6 +18,8 @@
 #include "bvh/io.hh"
 #include "geom/rng.hh"
 #include "scene/registry.hh"
+
+#include "test_util.hh"
 
 namespace trt
 {
@@ -860,6 +863,27 @@ TEST(BvhIoReject, CorruptedHeader)
     std::stringstream ok(bytes);
     Bvh fine;
     EXPECT_TRUE(BvhIo::load(ok, fine));
+}
+
+/** A node-count prefix larger than the stream is rejected before
+ *  anything is allocated for it. */
+TEST(BvhIoReject, LengthLieWithoutAllocating)
+{
+    auto tris = randomTriangles(100, 313);
+    Bvh orig = Bvh::build(tris, BvhConfig{});
+    std::stringstream good;
+    BvhIo::save(good, orig);
+    std::string bytes = good.str();
+    // Header (magic, version, width, nodeBytes), then the node count:
+    // claim 192 MB of nodes in a stream of a few KB.
+    uint64_t lie = (uint64_t(192) << 20) / sizeof(WideNode);
+    std::memcpy(&bytes[16], &lie, sizeof(lie));
+
+    long rss_before = peakRssKb();
+    std::stringstream ss(bytes);
+    Bvh out;
+    EXPECT_FALSE(BvhIo::load(ss, out));
+    EXPECT_LT(peakRssKb() - rss_before, 64 * 1024); // KB
 }
 
 } // anonymous namespace

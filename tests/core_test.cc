@@ -12,6 +12,8 @@
 
 #include "core/arch.hh"
 #include "core/line_set.hh"
+#include "core/prefetch_unit.hh"
+#include "core/treelet_queue_unit.hh"
 #include "gpu/shader.hh"
 #include "scene/registry.hh"
 
@@ -41,17 +43,14 @@ struct Fixture
 };
 
 GpuConfig
-tinyConfig(RtArch arch)
+tinyConfig(DispatchPolicyKind policy)
 {
-    GpuConfig cfg;
+    GpuConfig cfg = GpuConfig::forPolicy(policy);
     cfg.imageWidth = 32;
     cfg.imageHeight = 32;
     cfg.numSms = 4;
     cfg.mem.numL1s = 4;
-    cfg.arch = arch;
-    if (arch == RtArch::TreeletQueues) {
-        cfg.rayVirtualization = true;
-        cfg.mem.l2ReservedBytes = 64 * 1024;
+    if (policy == DispatchPolicyKind::Vtq) {
         // Scale queue thresholds to the small ray population of a
         // 32x32 test frame, and keep few CTA slots so the scheduler
         // actually has pending CTAs (suspension only fires when the
@@ -63,20 +62,22 @@ tinyConfig(RtArch arch)
     return cfg;
 }
 
-/** All architectures must produce bit-identical images. */
+/** All three RT units must produce bit-identical images. */
 TEST(ArchEquivalence, AllArchesRenderIdenticalImages)
 {
     Fixture f;
     auto ref = renderReference(f.scene, f.bvh, 32, 32, 3, 0.02f);
 
-    for (RtArch arch : {RtArch::Baseline, RtArch::TreeletPrefetch,
-                        RtArch::TreeletQueues}) {
-        GpuConfig cfg = tinyConfig(arch);
+    for (DispatchPolicyKind policy :
+         {DispatchPolicyKind::Fifo, DispatchPolicyKind::Prefetch,
+          DispatchPolicyKind::Vtq}) {
+        GpuConfig cfg = tinyConfig(policy);
         RunStats rs = simulate(cfg, f.scene, f.bvh);
         ASSERT_EQ(rs.framebuffer.size(), ref.size());
         for (size_t i = 0; i < ref.size(); i++) {
             ASSERT_EQ(ref[i], rs.framebuffer[i])
-                << "arch=" << rtArchName(arch) << " pixel " << i;
+                << "policy=" << dispatchPolicyName(policy) << " pixel "
+                << i;
         }
     }
 }
@@ -88,32 +89,32 @@ TEST(ArchEquivalence, VtqVariantsRenderIdenticalImages)
 
     std::vector<GpuConfig> variants;
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.groupUnderpopulated = false; // naive treelet queues
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.repackThreshold = 0; // no repacking
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.skipTreeletPhase = true;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.preloadEnabled = false;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.rayVirtualization = false;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.virtualizationFree = true;
         variants.push_back(c);
     }
@@ -130,7 +131,7 @@ TEST(ArchEquivalence, VtqVariantsRenderIdenticalImages)
 TEST(TreeletPrefetch, IssuesAndUsesPrefetches)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletPrefetch), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Prefetch), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.prefetchIssues, 0u);
     EXPECT_GT(rs.rt.prefetchLines, 0u);
@@ -141,7 +142,7 @@ TEST(TreeletPrefetch, IssuesAndUsesPrefetches)
 TEST(TreeletQueues, UsesAllThreeModes)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.modeCycles[size_t(TraversalMode::Initial)], 0u);
     EXPECT_GT(rs.rt.modeCycles[size_t(TraversalMode::TreeletStationary)],
@@ -155,7 +156,7 @@ TEST(TreeletQueues, UsesAllThreeModes)
 TEST(TreeletQueues, VirtualizationSuspendsAndRestores)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_GT(rs.ctaSaves, 0u);
     EXPECT_EQ(rs.ctaSaves, rs.ctaRestores);
@@ -168,7 +169,7 @@ TEST(TreeletQueues, VirtualizationSuspendsAndRestores)
 TEST(TreeletQueues, VirtualizationFreeHasNoStateTraffic)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.virtualizationFree = true;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_GT(rs.ctaSaves, 0u);
@@ -179,7 +180,7 @@ TEST(TreeletQueues, VirtualizationFreeHasNoStateTraffic)
 TEST(TreeletQueues, NoVirtualizationMeansNoSaves)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.rayVirtualization = false;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_EQ(rs.ctaSaves, 0u);
@@ -189,7 +190,7 @@ TEST(TreeletQueues, NoVirtualizationMeansNoSaves)
 TEST(TreeletQueues, RayDataTrafficExists)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     const auto &rd = rs.memClass(MemClass::RayData);
     EXPECT_GT(rd.writes, 0u);     // parked ray state
@@ -200,7 +201,7 @@ TEST(TreeletQueues, RayDataTrafficExists)
 TEST(TreeletQueues, RepackingHappensAndRaisesSimtEfficiency)
 {
     Fixture f("SPNZA", 0.1f);
-    GpuConfig with = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig with = tinyConfig(DispatchPolicyKind::Vtq);
     with.repackThreshold = 22;
     // Force every ray through the grouped ray-stationary path so the
     // queues hold plenty of strays for the repacker to pull from (a
@@ -222,7 +223,7 @@ TEST(TreeletQueues, RepackingHappensAndRaisesSimtEfficiency)
 TEST(TreeletQueues, TableHighWatersTracked)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.countTableHighWater, 0u);
     EXPECT_GT(rs.rt.queueTableEntriesHW, 0u);
@@ -232,7 +233,7 @@ TEST(TreeletQueues, TableHighWatersTracked)
 TEST(TreeletQueues, ConcurrentRayCapRespected)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.maxVirtualRaysPerSm = 64;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_LE(rs.rt.maxConcurrentRays, 64u);
@@ -245,7 +246,7 @@ TEST(TreeletQueues, ConcurrentRayCapRespected)
 TEST(TreeletQueues, SkipTreeletPhaseHasNoTreeletWarps)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.skipTreeletPhase = true;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_EQ(rs.rt.treeletWarpsFormed, 0u);
@@ -257,7 +258,7 @@ TEST(TreeletQueues, SkipTreeletPhaseHasNoTreeletWarps)
 TEST(TreeletQueues, NaiveModeFormsUnderpopulatedTreeletWarps)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.groupUnderpopulated = false;
     cfg.repackThreshold = 0;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
@@ -269,13 +270,27 @@ TEST(Factory, DispatchesOnArch)
 {
     Fixture f;
     auto factory = makeRtUnitFactory();
-    GpuConfig cfg = tinyConfig(RtArch::Baseline);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Fifo);
     MemorySystem mem(cfg.mem);
     auto base = factory(cfg, mem, f.bvh, 0);
-    EXPECT_TRUE(base->idle());
+    EXPECT_TRUE(dynamic_cast<BaselineRtUnit *>(base.get()));
+    EXPECT_FALSE(dynamic_cast<TreeletPrefetchRtUnit *>(base.get()));
 
-    cfg.arch = RtArch::TreeletQueues;
+    // The policy alone picks the unit.
+    for (DispatchPolicyKind k :
+         {DispatchPolicyKind::Reorder, DispatchPolicyKind::Predict}) {
+        cfg.policy = k;
+        auto u = factory(cfg, mem, f.bvh, 0);
+        EXPECT_TRUE(dynamic_cast<BaselineRtUnit *>(u.get()));
+        EXPECT_FALSE(dynamic_cast<TreeletPrefetchRtUnit *>(u.get()));
+    }
+    cfg.policy = DispatchPolicyKind::Prefetch;
+    auto pf = factory(cfg, mem, f.bvh, 0);
+    EXPECT_TRUE(dynamic_cast<TreeletPrefetchRtUnit *>(pf.get()));
+
+    cfg.policy = DispatchPolicyKind::Vtq;
     auto tq = factory(cfg, mem, f.bvh, 0);
+    EXPECT_TRUE(dynamic_cast<TreeletQueueRtUnit *>(tq.get()));
     EXPECT_TRUE(tq->idle());
 }
 

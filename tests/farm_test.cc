@@ -26,66 +26,12 @@
 #include "harness/run_cache.hh"
 #include "util/env.hh"
 
+#include "test_util.hh"
+
 namespace trt
 {
 namespace
 {
-
-/** RAII environment variable setter. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old)
-            old_ = old;
-        had_ = old != nullptr;
-        setenv(name, value, 1);
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_, old_;
-    bool had_;
-};
-
-/** Unique temp dir per test, removed on teardown. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-    {
-        std::string tmpl = (std::filesystem::temp_directory_path() /
-                            ("trt_farm_" + tag + "_XXXXXX"))
-                               .string();
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        path_ = ::mkdtemp(buf.data());
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-    std::string sub(const std::string &name) const
-    {
-        return (std::filesystem::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
 
 RunStats
 syntheticStats(uint64_t seed)

@@ -66,12 +66,18 @@ TEST(GpuConfig, Table1Defaults)
 TEST(GpuConfig, ConvenienceConstructors)
 {
     GpuConfig vtq = GpuConfig::virtualizedTreeletQueues();
-    EXPECT_EQ(vtq.arch, RtArch::TreeletQueues);
+    EXPECT_EQ(vtq.policy, DispatchPolicyKind::Vtq);
     EXPECT_TRUE(vtq.rayVirtualization);
     EXPECT_GT(vtq.mem.l2ReservedBytes, 0u);
 
     GpuConfig pf = GpuConfig::treeletPrefetch();
-    EXPECT_EQ(pf.arch, RtArch::TreeletPrefetch);
+    EXPECT_EQ(pf.policy, DispatchPolicyKind::Prefetch);
+    EXPECT_FALSE(pf.rayVirtualization);
+    EXPECT_EQ(pf.mem.l2ReservedBytes, 0u);
+
+    // setPolicy also clears what a previous policy implied.
+    vtq.setPolicy(DispatchPolicyKind::Fifo);
+    EXPECT_EQ(vtq.fingerprint(), GpuConfig{}.fingerprint());
 }
 
 TEST(PathTracer, PrimaryRaysHitScene)
@@ -214,9 +220,12 @@ TEST(BaselineSim, RunTwiceThrows)
 TEST(BaselineSim, NonBaselineArchRequiresFactory)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig();
-    cfg.arch = RtArch::TreeletQueues;
-    EXPECT_THROW(Gpu(cfg, f.scene, f.bvh), std::invalid_argument);
+    for (DispatchPolicyKind k :
+         {DispatchPolicyKind::Vtq, DispatchPolicyKind::Prefetch}) {
+        GpuConfig cfg = tinyConfig();
+        cfg.policy = k;
+        EXPECT_THROW(Gpu(cfg, f.scene, f.bvh), std::invalid_argument);
+    }
 }
 
 TEST(BaselineSim, MismatchedL1CountRejected)

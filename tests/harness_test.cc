@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,36 +18,12 @@
 #include "util/env.hh"
 #include "harness/run_cache.hh"
 
+#include "test_util.hh"
+
 namespace trt
 {
 namespace
 {
-
-/** RAII environment variable setter. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old)
-            old_ = old;
-        had_ = old != nullptr;
-        setenv(name, value, 1);
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_, old_;
-    bool had_;
-};
 
 TEST(HarnessOptions, Defaults)
 {
@@ -176,6 +153,52 @@ TEST(HarnessOptions, ApplySetsResolution)
     EXPECT_EQ(cfg.imageHeight, 48u);
 }
 
+/** TRT_POLICY turns any bench row into the named configuration, with
+ *  exactly the fields forPolicy() gives it. */
+TEST(HarnessOptions, PolicyOverrideBuildsTheNamedConfig)
+{
+    for (const GpuConfig &base :
+         {GpuConfig{}, GpuConfig::treeletPrefetch(),
+          GpuConfig::virtualizedTreeletQueues()}) {
+        for (const char *name :
+             {"baseline", "fifo", "prefetch", "vtq", "reorder", "predict"}) {
+            HarnessOptions opt;
+            opt.resolution = 64;
+            opt.policyName = name;
+            GpuConfig want =
+                GpuConfig::forPolicy(parseDispatchPolicy(name, "test"));
+            want.imageWidth = 64;
+            want.imageHeight = 64;
+            EXPECT_EQ(opt.apply(base).fingerprint(), want.fingerprint())
+                << name << " over a " << dispatchPolicyName(base.policy)
+                << " row";
+        }
+    }
+    HarnessOptions bad;
+    bad.policyName = "warp-drive";
+    EXPECT_THROW(bad.apply(GpuConfig{}), EnvError);
+}
+
+/** TRT_POLICY=fifo on a vtq row simulates the baseline, not VTQ. */
+TEST(HarnessOptions, FifoOverrideOnVtqRowSimulatesBaseline)
+{
+    const SceneBundle &b = getSceneBundle("BUNNY", 0.03f);
+    auto tiny = [](GpuConfig c) {
+        c.numSms = 2;
+        c.mem.numL1s = 2;
+        return c;
+    };
+    HarnessOptions opt;
+    opt.resolution = 16;
+    RunStats base = simulate(tiny(opt.apply(GpuConfig{})), b.scene, b.bvh);
+    opt.policyName = "fifo";
+    RunStats over =
+        simulate(tiny(opt.apply(GpuConfig::virtualizedTreeletQueues())),
+                 b.scene, b.bvh);
+    EXPECT_EQ(RunStatsIo::fingerprint(over), RunStatsIo::fingerprint(base));
+    EXPECT_EQ(over.rt.raysEnqueued, 0u); // no treelet queues ran
+}
+
 TEST(SceneBundle, CachedByNameAndScale)
 {
     const SceneBundle &a = getSceneBundle("BUNNY", 0.03f);
@@ -229,9 +252,8 @@ TEST(ParallelForScenes, PropagatesExceptions)
 TEST(WriteCsv, CreatesFile)
 {
     HarnessOptions opt;
-    opt.resultsDir =
-        (std::filesystem::temp_directory_path() / "trt_test_results")
-            .string();
+    TempDir results("results");
+    opt.resultsDir = results.path();
     Table t({"a"});
     t.row().cell("1");
     writeCsv(opt, t, "unit.csv");
@@ -240,7 +262,6 @@ TEST(WriteCsv, CreatesFile)
     std::string line;
     std::getline(in, line);
     EXPECT_EQ(line, "a");
-    std::filesystem::remove_all(opt.resultsDir);
 }
 
 RunStats
@@ -347,6 +368,26 @@ TEST(RunStatsIo, RejectsBadMagicVersionAndTruncation)
     }
 }
 
+/** A length prefix larger than the blob is rejected before anything
+ *  is allocated for it. */
+TEST(RunStatsIo, RejectsLengthLieWithoutAllocating)
+{
+    RunStats st = syntheticStats();
+    std::stringstream ss;
+    RunStatsIo::save(ss, st);
+    std::string blob = ss.str();
+    // magic, version, cycles, then the framebuffer's element count:
+    // claim 16 M pixels (192 MB) in a blob of a few hundred bytes.
+    uint64_t lie = uint64_t(1) << 24;
+    std::memcpy(&blob[16], &lie, sizeof(lie));
+
+    long rss_before = peakRssKb();
+    RunStats back;
+    std::istringstream is(blob);
+    EXPECT_FALSE(RunStatsIo::load(is, back));
+    EXPECT_LT(peakRssKb() - rss_before, 64 * 1024); // KB
+}
+
 TEST(RunCache, FingerprintSensitivity)
 {
     GpuConfig cfg;
@@ -369,24 +410,12 @@ TEST(RunCache, FingerprintSensitivity)
 class RunCacheOnDisk : public ::testing::Test
 {
   protected:
-    RunCacheOnDisk()
-        : dir_((std::filesystem::temp_directory_path() /
-                "trt_run_cache_test")
-                   .string()),
-          cache_("TRT_CACHE", dir_.c_str())
-    {
-        std::filesystem::remove_all(dir_);
-        resetHarnessTiming();
-    }
+    RunCacheOnDisk() { resetHarnessTiming(); }
+    ~RunCacheOnDisk() override { resetHarnessTiming(); }
 
-    ~RunCacheOnDisk() override
-    {
-        std::filesystem::remove_all(dir_);
-        resetHarnessTiming();
-    }
-
-    std::string dir_;
-    EnvGuard cache_;
+    TempDir tmp_{"run_cache"};
+    std::string dir_ = tmp_.path();
+    EnvGuard cache_{"TRT_CACHE", dir_.c_str()};
 };
 
 TEST_F(RunCacheOnDisk, StoreThenLoadRoundTrips)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
 
 #include "bvh/traverser.hh"
@@ -23,6 +24,8 @@
 #include "gpu/run_stats_io.hh"
 #include "harness/harness.hh"
 #include "snapshot/snapshot.hh"
+
+#include "test_util.hh"
 
 namespace trt
 {
@@ -85,6 +88,15 @@ constexpr PolicyVariant kAllVariants[] = {
     {"predict", DispatchPolicyKind::Predict, false},
     {"predict_shared", DispatchPolicyKind::Predict, true},
 };
+
+/** gtest appends the printed parameter to each listed test name; the
+ *  default byte dump would embed the label's load address, so the
+ *  ctest IDs would change with every build and every ASLR layout. */
+void
+PrintTo(const PolicyVariant &v, std::ostream *os)
+{
+    *os << v.label;
+}
 
 GpuConfig
 forVariant(const PolicyVariant &v)
@@ -208,10 +220,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyDeterminism,
 fs::path
 snapDir(const std::string &name)
 {
-    fs::path p = fs::path(::testing::TempDir()) / ("trt_snap_" + name);
-    fs::remove_all(p);
-    fs::create_directories(p);
-    return p;
+    return freshTestDir("snap_" + name);
 }
 
 RunStats

@@ -22,6 +22,8 @@
 #include "snapshot/snapshot.hh"
 #include "stats/sampling.hh"
 
+#include "test_util.hh"
+
 namespace trt
 {
 namespace
@@ -257,7 +259,7 @@ TEST(Sampled, BaselineAndPrefetchArchesDeterministic)
         RunStats parallel = runSampledWith("CRNVL", cfg, 4, sc);
         EXPECT_EQ(RunStatsIo::fingerprint(serial),
                   RunStatsIo::fingerprint(parallel))
-            << rtArchName(cfg.arch);
+            << dispatchPolicyName(cfg.policy);
     }
 }
 
@@ -286,10 +288,7 @@ TEST(Sampled, SmallSceneIsExact)
 fs::path
 snapDir(const std::string &name)
 {
-    fs::path p = fs::path(::testing::TempDir()) / ("trt_sampled_" + name);
-    fs::remove_all(p);
-    fs::create_directories(p);
-    return p;
+    return freshTestDir("sampled_" + name);
 }
 
 TEST(SampledSnapshot, ResumeBitIdenticalToUninterrupted)
@@ -377,31 +376,6 @@ TEST(SampledSnapshot, FullRunSnapshotRefusedUnderSampling)
 
 // ---- run-cache separation ------------------------------------------
 
-/** Restores an env var on scope exit (mirrors harness_test.cc). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        setenv(name, value, 1);
-    }
-    ~EnvGuard()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_, old_;
-    bool had_ = false;
-};
-
 TEST(SampledRunCache, FingerprintSeparatesSampledFromFull)
 {
     GpuConfig cfg = sized(GpuConfig{});
@@ -424,9 +398,8 @@ TEST(SampledRunCache, FingerprintSeparatesSampledFromFull)
  *  run, through the on-disk cache itself. */
 TEST(SampledRunCache, StoredBlobsNeverAlias)
 {
-    fs::path dir = fs::path(::testing::TempDir()) / "trt_runcache_alias";
-    fs::remove_all(dir);
-    EnvGuard cache("TRT_CACHE", dir.string().c_str());
+    TempDir dir("runcache_alias");
+    EnvGuard cache("TRT_CACHE", dir.path().c_str());
     EnvGuard enable("TRT_RUN_CACHE", "1");
 
     GpuConfig cfg = sized(GpuConfig{});
@@ -455,7 +428,6 @@ TEST(SampledRunCache, StoredBlobsNeverAlias)
     EXPECT_EQ(out.cycles, 111111u);
     EXPECT_FALSE(out.sampled.enabled)
         << "sampled blob overwrote the full run's";
-    fs::remove_all(dir);
 }
 
 } // anonymous namespace

@@ -19,6 +19,8 @@
 #include "harness/harness.hh"
 #include "snapshot/snapshot.hh"
 
+#include "test_util.hh"
+
 namespace trt
 {
 namespace
@@ -30,10 +32,7 @@ namespace fs = std::filesystem;
 fs::path
 snapDir(const std::string &name)
 {
-    fs::path p = fs::path(::testing::TempDir()) / ("trt_snap_" + name);
-    fs::remove_all(p);
-    fs::create_directories(p);
-    return p;
+    return freshTestDir("snap_" + name);
 }
 
 // ---- serializer ----------------------------------------------------

@@ -25,6 +25,8 @@
 #include "telemetry/counter_registry.hh"
 #include "telemetry/telemetry.hh"
 
+#include "test_util.hh"
+
 namespace trt
 {
 namespace
@@ -35,7 +37,7 @@ namespace fs = std::filesystem;
 fs::path
 telemDir(const std::string &name)
 {
-    fs::path p = fs::path(::testing::TempDir()) / ("trt_telem_" + name);
+    fs::path p = processTempDir().sub("telem_" + name);
     fs::remove_all(p);
     return p;
 }
